@@ -133,7 +133,6 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     match_ids->assign(queries.size(), {});
   }
   const SearchBackend& backend = server_->backend();
-  const Pairing& pairing = backend.pairing();
 
   // --- Phase 0: admission. A shed batch runs no crypto at all. -----------
   const std::size_t now_inflight =
@@ -168,10 +167,14 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     return false;
   };
 
+  // Pairing ops are attributed from thread-local counts (this thread's,
+  // plus each scan worker's), so engines running at the same time never
+  // count each other's work.
   BatchMetrics bm;
   bm.queries = queries.size();
   bm.per_query.resize(queries.size());
-  const PairingOpCounts batch_c0 = pairing.op_counts();
+  const PairingOpCounts batch_c0 = Pairing::thread_op_counts();
+  PairingOpCounts worker_ops;  // summed over scan workers
 
   // --- Phase 1: per-query preprocessing through the LRU cache. -----------
   std::vector<AnyPrepared> prepared(queries.size());
@@ -185,7 +188,7 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     if (serve[i] == 0) continue;  // rejected: never prepared, never scanned
     if (should_stop()) break;     // deadline blew during preprocessing
     const auto t0 = Clock::now();
-    const PairingOpCounts c0 = pairing.op_counts();
+    const PairingOpCounts c0 = Pairing::thread_op_counts();
     digests[i] = backend.digest(queries[i]);
     AnyPrepared entry = cache_.get(digests[i]);
     if (!entry.empty()) {
@@ -196,7 +199,7 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     }
     prepared[i] = std::move(entry);
     active.push_back(i);
-    m.ops += pairing.op_counts() - c0;
+    m.ops += Pairing::thread_op_counts() - c0;
     m.wall_s += seconds_since(t0);
   }
 
@@ -283,7 +286,7 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     bm.threads = threads;
 
     const auto scan_t0 = Clock::now();
-    const PairingOpCounts scan_c0 = pairing.op_counts();
+    const PairingOpCounts scan_c0 = Pairing::thread_op_counts();
     if (threads <= 1) {
       for (std::size_t b = 0; b < n_blocks; ++b) {
         if (should_stop()) break;
@@ -299,7 +302,7 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
                        static_cast<std::uint32_t>(n_blocks * (w + 1) /
                                                   threads)));
       }
-      auto worker = [&](std::size_t self) {
+      auto steal_loop = [&](std::size_t self) {
         for (;;) {
           // Block boundary: the only place a worker gives up its scan.
           if (should_stop()) return;
@@ -341,12 +344,21 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
           }
         }
       };
+      std::mutex ops_mu;
+      auto worker = [&](std::size_t self) {
+        const PairingOpCounts c0 = Pairing::thread_op_counts();
+        steal_loop(self);
+        const PairingOpCounts ops = Pairing::thread_op_counts() - c0;
+        std::lock_guard ops_lock(ops_mu);
+        worker_ops += ops;
+      };
       std::vector<std::thread> pool;
       pool.reserve(threads);
       for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
       for (auto& t : pool) t.join();
     }
-    const PairingOpCounts scan_ops = pairing.op_counts() - scan_c0;
+    const PairingOpCounts scan_ops =
+        (Pairing::thread_op_counts() - scan_c0) + worker_ops;
     const double scan_wall = seconds_since(scan_t0);
     const bool complete = stop.load(std::memory_order_relaxed) == kRun;
     const std::size_t covered =
@@ -421,7 +433,7 @@ std::vector<std::vector<std::string>> SearchEngine::run_batch(
     bm.cache_hits += m.cache_hit ? 1 : 0;
     bm.verdict_hits += m.verdict_hits;
   }
-  bm.ops = pairing.op_counts() - batch_c0;
+  bm.ops = (Pairing::thread_op_counts() - batch_c0) + worker_ops;
   bm.wall_s = seconds_since(batch_t0);
   {
     std::lock_guard lock(counters_mutex_);

@@ -73,7 +73,9 @@ struct ServerMetrics {
   PairingOpCounts ops;
 };
 
-// Whole-batch metrics; `ops` and `wall_s` are exact totals.
+// Whole-batch metrics; `ops` and `wall_s` are exact totals. `ops` counts
+// this batch's own pairing work (thread-local deltas of the calling thread
+// and its scan workers), even while other engines pair concurrently.
 struct BatchMetrics {
   std::size_t queries = 0;
   std::size_t authorized = 0;

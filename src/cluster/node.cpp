@@ -81,26 +81,19 @@ std::shared_ptr<ClusterNode::ShardState> ClusterNode::build_state(
     }
   }
 
-  // One streaming store pass restores every newly-assigned shard in
-  // ascending-id order: for_each_record_any streams each store shard's
-  // records ascending, and store shard == id % total_shards == cluster
-  // shard.
+  // One streaming pass over just the newly-assigned store shards restores
+  // each of them in ascending-id order (store shard == id % total_shards
+  // == cluster shard, and apply_map checks the two counts agree).
   if (!to_load.empty()) {
     const std::uint64_t total = map.total_shards();
-    store_->for_each_record_any([&](StoredAnyRecord&& record) {
-      const std::uint32_t shard =
-          static_cast<std::uint32_t>(record.id % total);
-      for (const std::uint32_t wanted : to_load) {
-        if (wanted != shard) continue;
-        for (std::size_t i = 0; i < state->owned.size(); ++i) {
-          if (state->owned[i] == shard) {
-            state->servers[i]->restore_any(record.id,
-                                           std::move(record.index),
-                                           std::move(record.doc_ref));
-            break;
-          }
+    store_->for_each_record_any_in(to_load, [&](StoredAnyRecord&& record) {
+      const auto shard = static_cast<std::uint32_t>(record.id % total);
+      for (std::size_t i = 0; i < state->owned.size(); ++i) {
+        if (state->owned[i] == shard) {
+          state->servers[i]->restore_any(record.id, std::move(record.index),
+                                         std::move(record.doc_ref));
+          break;
         }
-        break;
       }
     });
   }

@@ -7,8 +7,8 @@
 // shard IS a cluster shard), and serves them over the PR-8 network layer:
 // one CloudServer + SearchEngine per owned shard, wired into NetServer
 // through a ShardEngineSet. v2 coordinators issue shard-scoped
-// kShardSearch RPCs; legacy v1 clients still get a plain kSearch answer
-// covering the node's subset of the store, merged by record id locally.
+// kShardSearch RPCs; a plain kSearch (from a v1 client, say) is refused
+// with kBadRequest rather than answered with the node's subset.
 //
 // Live reconfiguration: a v3 kMapUpdate (or a direct apply_map call)
 // carrying a strictly newer map swaps the node's serving set in place —

@@ -1,9 +1,11 @@
 #include "ec/curve.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "common/sha256.h"
 #include "ec/fixed_base.h"
+#include "math/fp_sqrt_batch.h"
 
 namespace apks {
 
@@ -15,7 +17,10 @@ Curve::Curve(const TypeAParams& params)
   if (!on_curve(gen_)) {
     throw std::invalid_argument("Curve: generator not on curve");
   }
+  sqrt_batch_ = std::make_unique<const FpSqrtBatch>(fp_);
 }
+
+Curve::~Curve() = default;
 
 Fp Curve::rhs(const Fp& x) const {
   // x^3 + x (curve coefficient a = 1, b = 0).
@@ -320,23 +325,74 @@ void Curve::serialize(const AffinePoint& pt,
 
 AffinePoint Curve::deserialize(
     std::span<const std::uint8_t, kCompressedSize> in) const {
-  if (in[0] == 0) return AffinePoint::infinity();
-  if (in[0] != 2 && in[0] != 3) {
-    throw std::invalid_argument("Curve::deserialize: bad tag byte");
-  }
-  const FpInt x_plain =
+  AffinePoint pt;
+  CompressedBatch batch(*this);
+  batch.add_point(in, pt);
+  batch.finish();
+  return pt;
+}
+
+Fp CompressedBatch::read_coordinate(
+    std::span<const std::uint8_t, Curve::kCompressedSize> in,
+    const char* what) const {
+  const FpField& fp = curve_->fp();
+  const FpInt plain =
       FpInt::from_bytes(std::span<const std::uint8_t>(in.data() + 1, 64));
-  if (x_plain >= fp_.modulus()) {
-    throw std::invalid_argument("Curve::deserialize: x out of range");
+  if (plain >= fp.modulus()) {
+    throw std::invalid_argument(std::string(what) + ": coordinate >= p");
   }
-  const Fp x = fp_.from_int(x_plain);
-  Fp y;
-  if (!fp_.sqrt(rhs(x), y)) {
-    throw std::invalid_argument("Curve::deserialize: x not on curve");
+  return fp.from_int(plain);
+}
+
+void CompressedBatch::add_point(
+    std::span<const std::uint8_t, Curve::kCompressedSize> in,
+    AffinePoint& out) {
+  if (in[0] == 0) {
+    for (std::size_t i = 1; i < in.size(); ++i) {
+      if (in[i] != 0) {
+        throw std::invalid_argument("point: non-canonical infinity");
+      }
+    }
+    out = AffinePoint::infinity();
+    return;
   }
-  const bool want_odd = (in[0] == 3);
-  if ((fp_.to_int(y).w[0] & 1) != (want_odd ? 1u : 0u)) y = fp_.neg(y);
-  return {x, y, false};
+  if (in[0] != 2 && in[0] != 3) {
+    throw std::invalid_argument("point: bad tag byte");
+  }
+  out.x = read_coordinate(in, "point");
+  out.inf = false;
+  radicands_.push_back(curve_->rhs(out.x));
+  slots_.push_back({&out.y, in[0] == 3, false});
+}
+
+void CompressedBatch::add_unitary(
+    std::span<const std::uint8_t, Curve::kCompressedSize> in, Fp2El& out) {
+  if (in[0] != 2 && in[0] != 3) {
+    throw std::invalid_argument("gt element: bad tag byte");
+  }
+  const FpField& fp = curve_->fp();
+  out.a = read_coordinate(in, "gt element");
+  radicands_.push_back(fp.sub(fp.one(), fp.sqr(out.a)));
+  slots_.push_back({&out.b, in[0] == 3, true});
+}
+
+void CompressedBatch::finish() {
+  const FpField& fp = curve_->fp();
+  std::vector<Fp> roots(radicands_.size());
+  std::vector<std::uint8_t> ok(radicands_.size());
+  curve_->sqrt_batch().run(radicands_, roots, ok);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    if (ok[i] == 0) {
+      throw std::invalid_argument(slot.gt ? "gt element: not unitary"
+                                          : "point: x not on curve");
+    }
+    Fp r = roots[i];
+    if ((fp.to_int(r).w[0] & 1) != (slot.odd ? 1u : 0u)) r = fp.neg(r);
+    *slot.root = r;
+  }
+  radicands_.clear();
+  slots_.clear();
 }
 
 }  // namespace apks

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string_view>
@@ -14,6 +15,8 @@
 #include "ec/params.h"
 
 namespace apks {
+
+class FpSqrtBatch;
 
 struct AffinePoint {
   Fp x{};
@@ -52,6 +55,7 @@ struct OpCounts {
 class Curve {
  public:
   explicit Curve(const TypeAParams& params);
+  ~Curve();
 
   [[nodiscard]] const TypeAParams& params() const noexcept { return params_; }
   [[nodiscard]] const FpField& fp() const noexcept { return fp_; }
@@ -59,6 +63,7 @@ class Curve {
   [[nodiscard]] const AffinePoint& generator() const noexcept { return gen_; }
 
   [[nodiscard]] bool on_curve(const AffinePoint& pt) const;
+  [[nodiscard]] Fp rhs(const Fp& x) const;  // x^3 + x
 
   [[nodiscard]] AffinePoint neg(const AffinePoint& pt) const;
   [[nodiscard]] AffinePoint add(const AffinePoint& a,
@@ -149,15 +154,21 @@ class Curve {
   [[nodiscard]] AffinePoint hash_to_point(std::string_view msg) const;
 
   // 65-byte compressed encoding: tag byte (0 infinity, 2 even-y, 3 odd-y)
-  // followed by the 64-byte big-endian x coordinate.
+  // followed by the 64-byte big-endian x coordinate. Infinity is exactly
+  // 65 zero bytes.
   static constexpr std::size_t kCompressedSize = 65;
   void serialize(const AffinePoint& pt,
                  std::span<std::uint8_t, kCompressedSize> out) const;
+  // A batch of one through CompressedBatch (same validation contract).
   [[nodiscard]] AffinePoint deserialize(
       std::span<const std::uint8_t, kCompressedSize> in) const;
 
+  // The lane-batched square root every decompression runs through.
+  [[nodiscard]] const FpSqrtBatch& sqrt_batch() const noexcept {
+    return *sqrt_batch_;
+  }
+
  private:
-  [[nodiscard]] Fp rhs(const Fp& x) const;  // x^3 + x
   // h * pt via a signed fixed-window ladder over the wide cofactor; counted
   // by cofactor_mul_count_ (separate from the paper's exponentiation unit).
   [[nodiscard]] AffinePoint clear_cofactor(const AffinePoint& pt) const;
@@ -167,6 +178,7 @@ class Curve {
   FpField fp_;
   FqField fq_;
   AffinePoint gen_;
+  std::unique_ptr<const FpSqrtBatch> sqrt_batch_;
 
   // Lazily built generator comb: base_table_[w][b-1] = (b * 2^{8w}) * g for
   // b in 1..255, w in 0..19 (160-bit scalars).
@@ -178,6 +190,51 @@ class Curve {
   mutable std::atomic<std::uint64_t> base_mul_count_{0};
   mutable std::atomic<std::uint64_t> precomp_base_mul_count_{0};
   mutable std::atomic<std::uint64_t> cofactor_mul_count_{0};
+};
+
+// Decompresses the group elements of one object with a single square-root
+// batch (Curve::sqrt_batch): a 14-point ciphertext plus its GT element is
+// one 15-root batch, two 8-wide lane blocks, instead of 15 scalar roots.
+//
+// Validation contract (every decoder of a compressed element runs it):
+//   - tag byte must be 0, 2 or 3 (points) / 2 or 3 (GT);
+//   - tag 0 (point at infinity) only as the all-zero 65-byte encoding;
+//   - the 64-byte coordinate must be < p;
+//   - the radicand (x^3 + x for a point, 1 - a^2 for GT) must be a square,
+//     checked per element as r^2 == radicand;
+//   - the tag's low bit picks the parity of the root (y, or b of GT).
+// add_* check the first three at once and throw std::invalid_argument;
+// finish() takes every root and throws std::invalid_argument for the first
+// non-square. An object is accepted only if every element passes, so a
+// batch accepts exactly the encodings element-by-element decoding accepts.
+class CompressedBatch {
+ public:
+  explicit CompressedBatch(const Curve& curve) : curve_(&curve) {}
+
+  // Queues a point; `out` is complete after finish() and must stay in
+  // place until then (it receives the root).
+  void add_point(std::span<const std::uint8_t, Curve::kCompressedSize> in,
+                 AffinePoint& out);
+  // Queues a GT element (unitary a + b*i, a^2 + b^2 = 1: the tag carries the
+  // parity of b, the body is a). Same lifetime rule for `out`.
+  void add_unitary(std::span<const std::uint8_t, Curve::kCompressedSize> in,
+                   Fp2El& out);
+  // Takes every queued square root at once and completes the outputs.
+  void finish();
+
+ private:
+  struct Slot {
+    Fp* root;
+    bool odd;
+    bool gt;
+  };
+  [[nodiscard]] Fp read_coordinate(
+      std::span<const std::uint8_t, Curve::kCompressedSize> in,
+      const char* what) const;
+
+  const Curve* curve_;
+  std::vector<Fp> radicands_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace apks

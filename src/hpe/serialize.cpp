@@ -27,22 +27,22 @@ void write_point(const Curve& curve, const AffinePoint& pt, ByteWriter& w) {
   w.raw(buf);
 }
 
+namespace {
+
+std::span<const std::uint8_t, Curve::kCompressedSize> element_bytes(
+    ByteReader& r) {
+  return std::span<const std::uint8_t, Curve::kCompressedSize>(
+      r.raw(Curve::kCompressedSize).data(), Curve::kCompressedSize);
+}
+
+}  // namespace
+
 AffinePoint read_point(const Curve& curve, ByteReader& r) {
-  const auto bytes = r.raw(Curve::kCompressedSize);
-  std::array<std::uint8_t, Curve::kCompressedSize> buf{};
-  std::copy(bytes.begin(), bytes.end(), buf.begin());
-  if (buf[0] == 0) {
-    // Curve::deserialize only inspects the tag for infinity; insist on the
-    // canonical all-zero encoding here so every group element has exactly
-    // one accepted byte representation (corrupt tags must not silently
-    // alias the identity).
-    for (std::size_t i = 1; i < buf.size(); ++i) {
-      if (buf[i] != 0) {
-        throw std::invalid_argument("read_point: non-canonical infinity");
-      }
-    }
-  }
-  return curve.deserialize(buf);
+  return curve.deserialize(element_bytes(r));
+}
+
+void read_point(ByteReader& r, CompressedBatch& batch, AffinePoint& out) {
+  batch.add_point(element_bytes(r), out);
 }
 
 void write_gt(const Pairing& e, const GtEl& v, ByteWriter& w) {
@@ -52,10 +52,11 @@ void write_gt(const Pairing& e, const GtEl& v, ByteWriter& w) {
 }
 
 GtEl read_gt(const Pairing& e, ByteReader& r) {
-  const auto bytes = r.raw(Pairing::kGtCompressedSize);
-  std::array<std::uint8_t, Pairing::kGtCompressedSize> buf{};
-  std::copy(bytes.begin(), bytes.end(), buf.begin());
-  return e.gt_deserialize(buf);
+  return e.gt_deserialize(element_bytes(r));
+}
+
+void read_gt(ByteReader& r, CompressedBatch& batch, GtEl& out) {
+  batch.add_unitary(element_bytes(r), out);
 }
 
 void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w) {
@@ -63,16 +64,22 @@ void write_gvec(const Curve& curve, const GVec& v, ByteWriter& w) {
   for (const auto& pt : v) write_point(curve, pt, w);
 }
 
-GVec read_gvec(const Curve& curve, ByteReader& r) {
+GVec read_gvec(ByteReader& r, CompressedBatch& batch) {
   const std::uint32_t n = r.u32();
   // Validate the claimed count against the bytes actually present before
-  // reserving (hostile length prefixes must not drive allocations).
+  // allocating (hostile length prefixes must not drive allocations).
   if (n > r.remaining() / Curve::kCompressedSize) {
     throw std::invalid_argument("read_gvec: length field exceeds payload");
   }
-  GVec v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(read_point(curve, r));
+  GVec v(n);
+  for (AffinePoint& pt : v) read_point(r, batch, pt);
+  return v;
+}
+
+GVec read_gvec(const Curve& curve, ByteReader& r) {
+  CompressedBatch batch(curve);
+  GVec v = read_gvec(r, batch);
+  batch.finish();
   return v;
 }
 
@@ -87,10 +94,12 @@ std::vector<std::uint8_t> serialize_ciphertext(const Pairing& e,
 HpeCiphertext deserialize_ciphertext(const Pairing& e,
                                      std::span<const std::uint8_t> data) {
   ByteReader r(data);
+  CompressedBatch batch(e.curve());
   HpeCiphertext ct;
-  ct.c1 = read_gvec(e.curve(), r);
-  ct.c2 = read_gt(e, r);
+  ct.c1 = read_gvec(r, batch);
+  read_gt(r, batch, ct.c2);
   if (!r.done()) throw std::invalid_argument("ciphertext: trailing bytes");
+  batch.finish();
   return ct;
 }
 
@@ -107,6 +116,7 @@ std::vector<std::uint8_t> serialize_key(const Pairing& e, const HpeKey& key) {
 
 HpeKey deserialize_key(const Pairing& e, std::span<const std::uint8_t> data) {
   ByteReader r(data);
+  CompressedBatch batch(e.curve());
   HpeKey key;
   key.level = r.u32();
   // Every honest key carries level+1 randomizer vectors, each at least one
@@ -116,13 +126,13 @@ HpeKey deserialize_key(const Pairing& e, std::span<const std::uint8_t> data) {
   if (key.level >= r.remaining() / Curve::kCompressedSize) {
     throw std::invalid_argument("key: level field exceeds payload");
   }
-  key.dec = read_gvec(e.curve(), r);
+  key.dec = read_gvec(r, batch);
   const std::uint32_t nran = r.u32();
   if (nran > r.remaining() / Curve::kCompressedSize) {
     throw std::invalid_argument("key: randomizer count exceeds payload");
   }
   for (std::uint32_t i = 0; i < nran; ++i) {
-    key.ran.push_back(read_gvec(e.curve(), r));
+    key.ran.push_back(read_gvec(r, batch));
   }
   if (key.ran.size() != key.level + 1) {
     // Invariant of every issued key (gen_key and delegate both maintain
@@ -135,9 +145,10 @@ HpeKey deserialize_key(const Pairing& e, std::span<const std::uint8_t> data) {
     throw std::invalid_argument("key: delegation count exceeds payload");
   }
   for (std::uint32_t i = 0; i < ndel; ++i) {
-    key.del.push_back(read_gvec(e.curve(), r));
+    key.del.push_back(read_gvec(r, batch));
   }
   if (!r.done()) throw std::invalid_argument("key: trailing bytes");
+  batch.finish();
   return key;
 }
 
@@ -153,6 +164,7 @@ std::vector<std::uint8_t> serialize_public_key(const Pairing& e,
 HpePublicKey deserialize_public_key(const Pairing& e,
                                     std::span<const std::uint8_t> data) {
   ByteReader r(data);
+  CompressedBatch batch(e.curve());
   HpePublicKey pk;
   pk.n = r.u32();
   const std::uint32_t rows = r.u32();
@@ -160,9 +172,10 @@ HpePublicKey deserialize_public_key(const Pairing& e,
     throw std::invalid_argument("public key: row count exceeds payload");
   }
   for (std::uint32_t i = 0; i < rows; ++i) {
-    pk.bhat.push_back(read_gvec(e.curve(), r));
+    pk.bhat.push_back(read_gvec(r, batch));
   }
   if (!r.done()) throw std::invalid_argument("public key: trailing bytes");
+  batch.finish();
   return pk;
 }
 
@@ -184,6 +197,7 @@ std::vector<std::uint8_t> serialize_master_key(const Pairing& e,
 HpeMasterKey deserialize_master_key(const Pairing& e,
                                     std::span<const std::uint8_t> data) {
   ByteReader r(data);
+  CompressedBatch batch(e.curve());
   HpeMasterKey msk;
   const std::uint32_t n = r.u32();
   if (n > 4096 || static_cast<std::uint64_t>(n) * n * 20 > r.remaining()) {
@@ -200,9 +214,10 @@ HpeMasterKey deserialize_master_key(const Pairing& e,
     throw std::invalid_argument("master key: row count exceeds payload");
   }
   for (std::uint32_t i = 0; i < rows; ++i) {
-    msk.bstar.push_back(read_gvec(e.curve(), r));
+    msk.bstar.push_back(read_gvec(r, batch));
   }
   if (!r.done()) throw std::invalid_argument("master key: trailing bytes");
+  batch.finish();
   return msk;
 }
 

@@ -16,13 +16,13 @@ void write_aibe_ct(const Pairing& e, const AibeCiphertext& ct,
   }
 }
 
-AibeCiphertext read_aibe_ct(const Pairing& e, ByteReader& r) {
-  AibeCiphertext ct;
-  ct.cprime = read_gt(e, r);
+// The batch readers queue their elements into the caller's batch (see
+// hpe/serialize.h); `ct`/`key` must stay in place until batch.finish().
+void read_aibe_ct(ByteReader& r, CompressedBatch& batch, AibeCiphertext& ct) {
+  read_gt(r, batch, ct.cprime);
   for (auto* pt : {&ct.c0, &ct.c1, &ct.c2, &ct.c3, &ct.c4}) {
-    *pt = read_point(e.curve(), r);
+    read_point(r, batch, *pt);
   }
-  return ct;
 }
 
 void write_aibe_key(const Pairing& e, const AibeKey& key, ByteWriter& w) {
@@ -31,12 +31,10 @@ void write_aibe_key(const Pairing& e, const AibeKey& key, ByteWriter& w) {
   }
 }
 
-AibeKey read_aibe_key(const Pairing& e, ByteReader& r) {
-  AibeKey key;
+void read_aibe_key(ByteReader& r, CompressedBatch& batch, AibeKey& key) {
   for (auto* pt : {&key.d0, &key.d1, &key.d2, &key.d3, &key.d4}) {
-    *pt = read_point(e.curve(), r);
+    read_point(r, batch, *pt);
   }
-  return key;
 }
 
 }  // namespace
@@ -58,6 +56,7 @@ std::vector<std::uint8_t> serialize_mrqed_ciphertext(
 MrqedCiphertext deserialize_mrqed_ciphertext(
     const Pairing& e, std::span<const std::uint8_t> data) {
   ByteReader r(data);
+  CompressedBatch batch(e.curve());
   MrqedCiphertext ct;
   const std::uint32_t dims = r.u32();
   if (dims > r.remaining()) {
@@ -69,17 +68,16 @@ MrqedCiphertext deserialize_mrqed_ciphertext(
     if (nodes > r.remaining() / (2 * 6 * 65)) {
       throw std::invalid_argument("mrqed ciphertext: node count bomb");
     }
-    dim.reserve(nodes);
-    for (std::uint32_t i = 0; i < nodes; ++i) {
-      MrqedCiphertext::NodeCt node;
-      node.check = read_aibe_ct(e, r);
-      node.share = read_aibe_ct(e, r);
-      dim.push_back(std::move(node));
+    dim.resize(nodes);
+    for (MrqedCiphertext::NodeCt& node : dim) {
+      read_aibe_ct(r, batch, node.check);
+      read_aibe_ct(r, batch, node.share);
     }
   }
   if (!r.done()) {
     throw std::invalid_argument("mrqed ciphertext: trailing bytes");
   }
+  batch.finish();
   return ct;
 }
 
@@ -102,6 +100,7 @@ std::vector<std::uint8_t> serialize_mrqed_key(const Pairing& e,
 MrqedKey deserialize_mrqed_key(const Pairing& e,
                                std::span<const std::uint8_t> data) {
   ByteReader r(data);
+  CompressedBatch batch(e.curve());
   MrqedKey key;
   const std::uint32_t dims = r.u32();
   if (dims > r.remaining()) {
@@ -113,17 +112,16 @@ MrqedKey deserialize_mrqed_key(const Pairing& e,
     if (nodes > r.remaining() / (2 * 5 * 65)) {
       throw std::invalid_argument("mrqed key: node count bomb");
     }
-    dim.reserve(nodes);
-    for (std::uint32_t i = 0; i < nodes; ++i) {
-      MrqedKey::NodeKey node;
+    dim.resize(nodes);
+    for (MrqedKey::NodeKey& node : dim) {
       node.node.level = r.u32();
       node.node.index = r.u64();
-      node.check = read_aibe_key(e, r);
-      node.share = read_aibe_key(e, r);
-      dim.push_back(std::move(node));
+      read_aibe_key(r, batch, node.check);
+      read_aibe_key(r, batch, node.share);
     }
   }
   if (!r.done()) throw std::invalid_argument("mrqed key: trailing bytes");
+  batch.finish();
   return key;
 }
 
@@ -149,10 +147,11 @@ std::vector<std::uint8_t> serialize_mrqed_public_key(
 MrqedPublicKey deserialize_mrqed_public_key(
     const Pairing& e, std::span<const std::uint8_t> data) {
   ByteReader r(data);
+  CompressedBatch batch(e.curve());
   MrqedPublicKey pk;
-  pk.aibe.omega = read_gt(e, r);
+  read_gt(r, batch, pk.aibe.omega);
   for (auto* pt : {&pk.aibe.v1, &pk.aibe.v2, &pk.aibe.v3, &pk.aibe.v4}) {
-    *pt = read_point(e.curve(), r);
+    read_point(r, batch, *pt);
   }
   const std::uint32_t dims = r.u32();
   if (dims > r.remaining()) {
@@ -164,17 +163,16 @@ MrqedPublicKey deserialize_mrqed_public_key(
     if (levels > r.remaining() / (2 * 65)) {
       throw std::invalid_argument("mrqed public key: level count bomb");
     }
-    dim.reserve(levels);
-    for (std::uint32_t i = 0; i < levels; ++i) {
-      AibeIdBase base;
-      base.g0 = read_point(e.curve(), r);
-      base.g1 = read_point(e.curve(), r);
-      dim.push_back(base);
+    dim.resize(levels);
+    for (AibeIdBase& base : dim) {
+      read_point(r, batch, base.g0);
+      read_point(r, batch, base.g1);
     }
   }
   if (!r.done()) {
     throw std::invalid_argument("mrqed public key: trailing bytes");
   }
+  batch.finish();
   return pk;
 }
 

@@ -462,11 +462,18 @@ void NetServer::handle_search(IoLoop& loop, const std::shared_ptr<Conn>& conn,
     refuse(WireStatus::kShutdown, "server is draining");
     return;
   }
+  if (shard_set() != nullptr) {
+    // A cluster node holds only its shards of the store: answering a plain
+    // search would be a silent subset with kOk.
+    refuse(WireStatus::kBadRequest,
+           "this node serves only its shards of the store; search through "
+           "the cluster coordinator");
+    return;
+  }
   SearchJob job;
   job.conn = conn;
   job.request = msg;
   job.query = conn->query;  // copy: a re-auth never races the scan
-  job.set = shard_set();    // snapshot: a map swap never races the scan
   {
     std::lock_guard lock(jobs_mutex_);
     if (jobs_closed_) {
@@ -531,7 +538,6 @@ void NetServer::handle_shard_search(IoLoop& loop,
   job.request.deadline_ms = msg.deadline_ms;
   job.request.partial_ok = msg.partial_ok;
   job.query = conn->query;  // copy: a re-auth never races the scan
-  job.shard_scoped = true;
   job.shards = msg.shards;
   job.set = set;  // the set the request was validated against
   {
@@ -649,18 +655,10 @@ void NetServer::run_search_job(const SearchJob& job) {
   BatchMetrics metrics;
   try {
     if (sharded) {
-      // Shard-backed server: scan the requested shards — every owned shard
-      // for a legacy kSearch session — and merge the hits by record id.
-      // Everything goes through the job's snapshot of the set, so a map
-      // swap mid-scan is invisible here.
-      std::vector<std::uint32_t> shards = job.shards;
-      if (!job.shard_scoped) {
-        shards.clear();
-        for (const auto& entry : job.set->shards) {
-          shards.push_back(entry.first);
-        }
-      }
-      hits = scan_shards(*job.set, shards, job.query, control, end);
+      // Shard RPC: scan the requested shards and merge the hits by record
+      // id. Everything goes through the job's snapshot of the set, so a
+      // map swap mid-scan is invisible here.
+      hits = scan_shards(*job.set, job.shards, job.query, control, end);
     } else {
       results = engine_->search_batch_unchecked_any({&job.query, 1}, &metrics,
                                                     control);
@@ -714,7 +712,7 @@ void NetServer::run_search_job(const SearchJob& job) {
   const bool stream_results =
       end.status == WireStatus::kOk ||
       ((end.flags & kResultTruncated) != 0 && job.request.partial_ok);
-  if (stream_results && job.shard_scoped) {
+  if (stream_results && sharded) {
     // v2 shard response: id-carrying hit chunks.
     for (std::size_t lo = 0; lo < hits.size();
          lo += options_.result_chunk_refs) {
@@ -724,20 +722,6 @@ void NetServer::run_search_job(const SearchJob& job) {
           std::min(hits.size(), lo + options_.result_chunk_refs);
       for (std::size_t i = lo; i < hi; ++i) {
         chunk.hits.push_back(std::move(hits[i]));
-      }
-      frames.push_back(encode_frame(chunk.encode()));
-    }
-  } else if (stream_results && sharded) {
-    // Legacy session against a shard-backed server: the merged hits drop
-    // their ids and stream as plain ref chunks.
-    for (std::size_t lo = 0; lo < hits.size();
-         lo += options_.result_chunk_refs) {
-      ResultChunkMsg chunk;
-      chunk.request_id = job.request.request_id;
-      const std::size_t hi =
-          std::min(hits.size(), lo + options_.result_chunk_refs);
-      for (std::size_t i = lo; i < hi; ++i) {
-        chunk.refs.push_back(std::move(hits[i].ref));
       }
       frames.push_back(encode_frame(chunk.encode()));
     }

@@ -68,10 +68,9 @@ inline constexpr const char* kSiteWrite = "net.write";
 // under one ClusterMap, each backed by its own SearchEngine over exactly
 // that shard's records. A server constructed with a ShardEngineSet answers
 // v2 kShardSearch requests shard-by-shard (hits keep their record ids so a
-// coordinator can k-way merge across nodes) and serves legacy v1 kSearch
-// sessions by scanning every owned shard and merging locally by id — old
-// clients keep working against a cluster node, they just see the node's
-// subset of the store.
+// coordinator can k-way merge across nodes). A plain kSearch (any wire
+// version) is refused with kBadRequest: the node holds only part of the
+// store, and its subset answered with kOk would be a silent subset.
 //
 // The set is held by shared_ptr and swappable at runtime (set_shard_set):
 // every search job snapshots the pointer when it is dispatched, so a live
@@ -215,14 +214,12 @@ class NetServer {
     std::weak_ptr<Conn> conn;
     SearchMsg request;
     AnyQuery query;  // copied at dispatch: an auth swap never races a scan
-    // kShardSearch jobs: reply with ShardChunkMsg frames (id-carrying hits)
-    // for exactly these shards. Legacy jobs on a shard-backed server scan
-    // every owned shard instead and reply with plain ResultChunkMsg frames.
-    bool shard_scoped = false;
+    // kShardSearch jobs (set != nullptr): reply with ShardChunkMsg frames
+    // (id-carrying hits) for exactly these shards.
     std::vector<std::uint32_t> shards;
     // The shard set this job was validated against, snapshotted at
     // dispatch: a concurrent set_shard_set never invalidates a running
-    // scan (graceful handoff).
+    // scan (graceful handoff). Null for plain kSearch jobs.
     std::shared_ptr<const ShardEngineSet> set;
     // kMapUpdate jobs ride the same worker queue (applying a map loads
     // shard engines — far too slow for an io loop thread).

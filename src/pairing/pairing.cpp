@@ -111,8 +111,22 @@ Fp2El Pairing::eval_line(const LineCoeffs& line, const AffinePoint& q) const {
   return {fp.add(fp.mul(line.A, q.x), line.B), fp.mul(line.C, q.y)};
 }
 
+namespace {
+thread_local PairingOpCounts t_thread_ops;
+}  // namespace
+
+PairingOpCounts Pairing::thread_op_counts() noexcept { return t_thread_ops; }
+
+void Pairing::note_ops(std::uint64_t millers, std::uint64_t multi_millers,
+                       std::uint64_t final_exps) const noexcept {
+  miller_count_.fetch_add(millers, std::memory_order_relaxed);
+  multi_miller_count_.fetch_add(multi_millers, std::memory_order_relaxed);
+  final_exp_count_.fetch_add(final_exps, std::memory_order_relaxed);
+  t_thread_ops += {millers, multi_millers, final_exps};
+}
+
 GtEl Pairing::final_exp(const Fp2El& f) const {
-  final_exp_count_.fetch_add(1, std::memory_order_relaxed);
+  note_ops(0, 0, 1);
   // z^{p-1} = conj(z) * z^{-1} = conj(z)^2 * norm(z)^{-1}: one base-field
   // inversion instead of a generic Fp2 inversion (which hides the same
   // norm-inverse plus two more multiplications).
@@ -148,7 +162,7 @@ GtEl Pairing::pair(const AffinePoint& p, const AffinePoint& q) const {
 }
 
 Fp2El Pairing::miller(const AffinePoint& p, const AffinePoint& q) const {
-  miller_count_.fetch_add(1, std::memory_order_relaxed);
+  note_ops(1, 0, 0);
   if (p.inf || q.inf) return fp2_.one();
   Fp2El f = fp2_.one();
   JacPoint t = curve_.to_jac(p);
@@ -168,8 +182,7 @@ Fp2El Pairing::miller(const AffinePoint& p, const AffinePoint& q) const {
 }
 
 Fp2El Pairing::multi_miller(std::span<const MillerPair> pairs) const {
-  miller_count_.fetch_add(pairs.size(), std::memory_order_relaxed);
-  multi_miller_count_.fetch_add(1, std::memory_order_relaxed);
+  note_ops(pairs.size(), 1, 0);
   // Active slots: infinity on either side contributes the factor 1.
   std::vector<std::size_t> act;
   std::vector<JacPoint> t;
@@ -204,8 +217,7 @@ Fp2El Pairing::multi_miller(std::span<const MillerPair> pairs) const {
 Fp2El Pairing::multi_miller_pre(std::span<const PreprocessedPairing> pres,
                                 std::span<const AffinePoint> qs) const {
   assert(pres.size() == qs.size());
-  miller_count_.fetch_add(pres.size(), std::memory_order_relaxed);
-  multi_miller_count_.fetch_add(1, std::memory_order_relaxed);
+  note_ops(pres.size(), 1, 0);
   std::vector<std::size_t> act;
   act.reserve(pres.size());
   for (std::size_t s = 0; s < pres.size(); ++s) {
@@ -290,7 +302,7 @@ GtEl PreprocessedPairing::pair_with(const AffinePoint& q) const {
 }
 
 Fp2El PreprocessedPairing::miller_with(const AffinePoint& q) const {
-  parent_->miller_count_.fetch_add(1, std::memory_order_relaxed);
+  parent_->note_ops(1, 0, 0);
   const Fp2& fp2 = parent_->fp2_;
   if (lines_.empty() || q.inf) return fp2.one();
   const FpField& fp = parent_->curve_.fp();
@@ -324,24 +336,11 @@ void Pairing::gt_serialize(const GtEl& a,
 
 GtEl Pairing::gt_deserialize(
     std::span<const std::uint8_t, kGtCompressedSize> in) const {
-  if (in[0] != 2 && in[0] != 3) {
-    throw std::invalid_argument("gt_deserialize: bad tag");
-  }
-  const FpField& fp = curve_.fp();
-  const FpInt a_plain =
-      FpInt::from_bytes(std::span<const std::uint8_t>(in.data() + 1, 64));
-  if (a_plain >= fp.modulus()) {
-    throw std::invalid_argument("gt_deserialize: value out of range");
-  }
-  const Fp a = fp.from_int(a_plain);
-  // Unitary: a^2 + b^2 = 1 => b = sqrt(1 - a^2).
-  Fp b;
-  if (!fp.sqrt(fp.sub(fp.one(), fp.sqr(a)), b)) {
-    throw std::invalid_argument("gt_deserialize: not a unitary element");
-  }
-  const bool want_odd = (in[0] == 3);
-  if ((fp.to_int(b).w[0] & 1) != (want_odd ? 1u : 0u)) b = fp.neg(b);
-  return {a, b};
+  GtEl out;
+  CompressedBatch batch(curve_);
+  batch.add_unitary(in, out);
+  batch.finish();
+  return out;
 }
 
 }  // namespace apks

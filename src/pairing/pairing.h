@@ -61,7 +61,10 @@ struct MillerPair {
 // Fig. 8(d) / Table III). Subtract two snapshots to attribute the work of
 // a region: `auto before = e.op_counts(); ...; auto cost = e.op_counts() -
 // before;`. Counters are process-wide per Pairing instance and atomically
-// updated, so deltas are exact even when worker threads pair concurrently.
+// updated, so the total is exact even when worker threads pair
+// concurrently — but a delta then includes every thread's work. To
+// attribute work to one caller, take deltas of Pairing::thread_op_counts()
+// on each thread that does that caller's work, and sum them.
 struct PairingOpCounts {
   std::uint64_t miller = 0;
   // Shared-accumulator multi-Miller evaluations. A multi-pairing of N slots
@@ -75,6 +78,10 @@ struct PairingOpCounts {
     multi_miller += o.multi_miller;
     final_exp += o.final_exp;
     return *this;
+  }
+  friend PairingOpCounts operator+(PairingOpCounts a,
+                                   const PairingOpCounts& b) noexcept {
+    return a += b;
   }
   friend PairingOpCounts operator-(const PairingOpCounts& a,
                                    const PairingOpCounts& b) noexcept {
@@ -119,8 +126,9 @@ class Pairing {
     return gt_pow(gt_gen_, fq().random(rng));
   }
 
-  // 65-byte compressed GT encoding (unitary: a + sign-of-b).
-  static constexpr std::size_t kGtCompressedSize = 65;
+  // 65-byte compressed GT encoding (unitary: a + sign-of-b). Decoding is a
+  // batch of one through CompressedBatch::add_unitary.
+  static constexpr std::size_t kGtCompressedSize = Curve::kCompressedSize;
   void gt_serialize(const GtEl& a,
                     std::span<std::uint8_t, kGtCompressedSize> out) const;
   [[nodiscard]] GtEl gt_deserialize(
@@ -148,6 +156,9 @@ class Pairing {
   [[nodiscard]] PairingOpCounts op_counts() const noexcept {
     return {miller_count(), multi_miller_count(), final_exp_count()};
   }
+  // Every pairing operation the calling thread has run, over all Pairing
+  // instances (a thread_local bumped next to the process-wide counters).
+  [[nodiscard]] static PairingOpCounts thread_op_counts() noexcept;
 
   // Raw Miller loop without the final exponentiation. A product of Miller
   // values can share a single final_exp:
@@ -184,15 +195,12 @@ class Pairing {
     return h_digits_;
   }
 
-  // Counter hook for external kernels (the SIMD block scan) that perform
-  // pairing work without routing through miller()/final_exp(). Keeps the
-  // cost model engine-invariant.
-  void note_block_ops(std::uint64_t millers, std::uint64_t multi_millers,
-                      std::uint64_t final_exps) const noexcept {
-    miller_count_.fetch_add(millers, std::memory_order_relaxed);
-    multi_miller_count_.fetch_add(multi_millers, std::memory_order_relaxed);
-    final_exp_count_.fetch_add(final_exps, std::memory_order_relaxed);
-  }
+  // The one counting site: bumps the process-wide counters and the calling
+  // thread's. External kernels (the SIMD block scan) that do pairing work
+  // without routing through miller()/final_exp() report it here, which
+  // keeps the cost model engine-invariant.
+  void note_ops(std::uint64_t millers, std::uint64_t multi_millers,
+                std::uint64_t final_exps) const noexcept;
 
  private:
   friend class PreprocessedPairing;

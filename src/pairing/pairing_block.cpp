@@ -228,7 +228,7 @@ void BlockMultiPairing::run_lanes(const AffinePoint* const* qvecs,
 
   // Engine-invariant cost attribution: dim miller probes + one multi_miller
   // + one final_exp per record, exactly as the scalar path counts.
-  e_->note_block_ops(n * pres_.size(), n, n);
+  e_->note_ops(n * pres_.size(), n, n);
 }
 
 }  // namespace apks

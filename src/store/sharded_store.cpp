@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -301,54 +303,152 @@ void ShardedStore::sync() {
   }
 }
 
+template <typename Rec, typename Decode, typename Deliver>
+void ShardedStore::stream_shards(std::span<const std::uint32_t> shards,
+                                 const Decode& decode,
+                                 const Deliver& deliver) {
+  for (const std::uint32_t s : shards) {
+    if (s >= shards_.size()) {
+      throw std::out_of_range("ShardedStore: no shard " + std::to_string(s));
+    }
+  }
+  // search_any's thread rule: hardware concurrency, capped at one worker
+  // per shard.
+  const std::size_t threads = std::min<std::size_t>(
+      std::max<std::size_t>(1, std::thread::hardware_concurrency()),
+      shards.size());
+  // Workers decode whole shards into per-shard buffers; this thread hands
+  // the buffers to `deliver` in the listed shard order, so the callback
+  // sees exactly the serial sequence. A decode error is delivered in
+  // place: the records before it first, then the rethrow.
+  struct Decoded {
+    Rec rec;
+    SegmentId seg;
+    bool sealed;
+  };
+  struct Slot {
+    std::vector<Decoded> records;
+    std::exception_ptr error;
+    bool done = false;
+  };
+  std::vector<Slot> slots(shards.size());
+  std::mutex mu;
+  std::condition_variable ready;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> stop{false};
+  auto worker = [&] {
+    for (;;) {
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= shards.size() || stop.load(std::memory_order_relaxed)) return;
+      std::vector<Decoded> records;
+      std::exception_ptr error;
+      try {
+        Shard& shard = *shards_[shards[k]];
+        std::shared_lock lock(shard.mutex);
+        (void)shard.store.for_each_segmented(
+            [&](std::span<const std::uint8_t> payload, const SegmentId& seg,
+                bool sealed) {
+              if (stop.load(std::memory_order_relaxed)) return false;
+              records.push_back({decode(payload), seg, sealed});
+              return true;
+            });
+      } catch (...) {
+        error = std::current_exception();
+      }
+      {
+        std::lock_guard lk(mu);
+        slots[k].records = std::move(records);
+        slots[k].error = error;
+        slots[k].done = true;
+      }
+      ready.notify_all();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  // Joins on every exit path; a throw here stops the workers at their next
+  // record.
+  struct JoinAll {
+    std::vector<std::thread>& pool;
+    std::atomic<bool>& stop;
+    ~JoinAll() {
+      stop.store(true, std::memory_order_relaxed);
+      for (std::thread& t : pool) t.join();
+    }
+  } join_all{pool, stop};
+  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
+  for (Slot& slot : slots) {
+    {
+      std::unique_lock lk(mu);
+      ready.wait(lk, [&] { return slot.done; });
+    }
+    for (Decoded& d : slot.records) deliver(std::move(d.rec), d.seg, d.sealed);
+    slot.records = {};
+    if (slot.error) std::rethrow_exception(slot.error);
+  }
+}
+
 void ShardedStore::for_each_record(
     const std::function<void(StoredIndexRecord&&)>& fn) {
   require_apks_family("ShardedStore::for_each_record");
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    shard->store.for_each([&](std::span<const std::uint8_t> payload) {
-      RecordHead head = decode_head(payload);
-      StoredIndexRecord rec;
-      rec.id = head.id;
-      rec.doc_ref = std::move(head.doc_ref);
-      rec.index = deserialize_index(*pairing_, head.index_bytes);
-      fn(std::move(rec));
-    });
-  }
+  stream_shards<StoredIndexRecord>(
+      all_shards(),
+      [&](std::span<const std::uint8_t> payload) {
+        RecordHead head = decode_head(payload);
+        StoredIndexRecord rec;
+        rec.id = head.id;
+        rec.doc_ref = std::move(head.doc_ref);
+        rec.index = deserialize_index(*pairing_, head.index_bytes);
+        return rec;
+      },
+      [&](StoredIndexRecord&& rec, const SegmentId&, bool) {
+        fn(std::move(rec));
+      });
+}
+
+StoredAnyRecord ShardedStore::decode_any_record(
+    std::span<const std::uint8_t> payload) const {
+  RecordHead head = decode_head(payload);
+  StoredAnyRecord rec;
+  rec.id = head.id;
+  rec.doc_ref = std::move(head.doc_ref);
+  rec.index = decode_index_bytes(head.index_bytes);
+  return rec;
 }
 
 void ShardedStore::for_each_record_any(
     const std::function<void(StoredAnyRecord&&)>& fn) {
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    shard->store.for_each([&](std::span<const std::uint8_t> payload) {
-      RecordHead head = decode_head(payload);
-      StoredAnyRecord rec;
-      rec.id = head.id;
-      rec.doc_ref = std::move(head.doc_ref);
-      rec.index = decode_index_bytes(head.index_bytes);
-      fn(std::move(rec));
-    });
-  }
+  for_each_record_any_in(all_shards(), fn);
+}
+
+void ShardedStore::for_each_record_any_in(
+    std::span<const std::uint32_t> shards,
+    const std::function<void(StoredAnyRecord&&)>& fn) {
+  stream_shards<StoredAnyRecord>(
+      shards,
+      [&](std::span<const std::uint8_t> payload) {
+        return decode_any_record(payload);
+      },
+      [&](StoredAnyRecord&& rec, const SegmentId&, bool) {
+        fn(std::move(rec));
+      });
 }
 
 void ShardedStore::for_each_record_any_segmented(
     const std::function<void(StoredAnyRecord&&, const SegmentId&,
                              bool sealed)>& fn) {
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    (void)shard->store.for_each_segmented(
-        [&](std::span<const std::uint8_t> payload, const SegmentId& seg,
-            bool sealed) {
-          RecordHead head = decode_head(payload);
-          StoredAnyRecord rec;
-          rec.id = head.id;
-          rec.doc_ref = std::move(head.doc_ref);
-          rec.index = decode_index_bytes(head.index_bytes);
-          fn(std::move(rec), seg, sealed);
-          return true;
-        });
-  }
+  stream_shards<StoredAnyRecord>(
+      all_shards(),
+      [&](std::span<const std::uint8_t> payload) {
+        return decode_any_record(payload);
+      },
+      fn);
+}
+
+std::vector<std::uint32_t> ShardedStore::all_shards() const {
+  std::vector<std::uint32_t> all(shards_.size());
+  for (std::uint32_t s = 0; s < all.size(); ++s) all[s] = s;
+  return all;
 }
 
 std::vector<SegmentId> ShardedStore::sealed_segment_ids() const {

@@ -28,8 +28,10 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,11 +109,20 @@ class ShardedStore {
   [[nodiscard]] std::vector<StoredIndexRecord> load_all();
   [[nodiscard]] std::vector<StoredAnyRecord> load_all_any();
 
-  // Streams records shard-by-shard (ascending id within a shard, shard
-  // order unspecified) without materializing the whole store.
+  // Streams records to `fn` on the calling thread, shard by shard in
+  // shard order, ascending id within a shard. The shards decode
+  // concurrently (the search_any thread rule: hardware concurrency, at
+  // most one worker per shard), each into a buffer the caller drains in
+  // order, so the callback sees the same sequence as a serial decode. A
+  // corrupt record throws after the records before it were delivered.
   void for_each_record(
       const std::function<void(StoredIndexRecord&&)>& fn);
   void for_each_record_any(
+      const std::function<void(StoredAnyRecord&&)>& fn);
+  // The same, over the listed store shards only (in the listed order): a
+  // cluster node restoring the shards it owns decodes nothing else.
+  void for_each_record_any_in(
+      std::span<const std::uint32_t> shards,
       const std::function<void(StoredAnyRecord&&)>& fn);
 
   // Segment-aware streaming: each decoded record arrives with the durable
@@ -209,6 +220,15 @@ class ShardedStore {
       const AnyIndex& index) const;
   [[nodiscard]] AnyIndex decode_index_bytes(
       std::span<const std::uint8_t> data) const;
+  [[nodiscard]] StoredAnyRecord decode_any_record(
+      std::span<const std::uint8_t> payload) const;
+  [[nodiscard]] std::vector<std::uint32_t> all_shards() const;
+  // The streaming engine behind every for_each_record*: decode(payload)
+  // -> Rec runs on shard workers, deliver(Rec&&, seg, sealed) on the
+  // calling thread in shard order.
+  template <typename Rec, typename Decode, typename Deliver>
+  void stream_shards(std::span<const std::uint32_t> shards,
+                     const Decode& decode, const Deliver& deliver);
   void require_apks_family(const char* what) const;
 
   const Pairing* pairing_;

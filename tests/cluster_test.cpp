@@ -21,8 +21,11 @@
 //    are always correct prefix unions, never silently wrong.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -82,6 +85,7 @@ struct ClusterEnv {
   Mrqed mrqed;
   MrqedBackend mrqed_backend;
 
+  std::filesystem::path base;  // the rigs' stores, removed at exit
   SchemeRig apks_rig;
   SchemeRig plus_rig;
   SchemeRig mrqed_rig;
@@ -106,8 +110,13 @@ struct ClusterEnv {
         plus_backend(plus),
         mrqed(e, 2, 3),
         mrqed_backend(mrqed) {
-    const fs::path base =
-        fs::temp_directory_path() / "apks-cluster-test-env";
+    // ctest runs each test as its own process, possibly in parallel: the
+    // store directory is unique to the process and the test, or one
+    // process's rebuild races another's reads.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    base = fs::temp_directory_path() /
+           ("apks-cluster-test-env-" + std::to_string(::getpid()) + "-" +
+            (info != nullptr ? info->name() : "static"));
     fs::remove_all(base);
     const std::vector<PlainIndex> rows = nursery_rows();
 
@@ -165,7 +174,14 @@ struct ClusterEnv {
 };
 
 ClusterEnv& env() {
-  static ClusterEnv* e = new ClusterEnv();
+  static ClusterEnv* e = [] {
+    auto* made = new ClusterEnv();
+    std::atexit([] {
+      std::error_code ec;
+      std::filesystem::remove_all(env().base, ec);
+    });
+    return made;
+  }();
   return *e;
 }
 
@@ -420,42 +436,40 @@ TEST_F(ClusterTest, KilledNodeFailsOverToReplicas) {
   for (auto& node : c.nodes) node->stop();
 }
 
-TEST_F(ClusterTest, LegacyV1ClientIsServedTheNodeSubset) {
+TEST_F(ClusterTest, PlainSearchOnANodeIsRefusedNotASubset) {
   const SchemeRig& rig = env().apks_rig;
   Cluster c = start_cluster(rig);
+  const std::vector<std::uint8_t> qbytes =
+      rig.backend->encode_query(rig.query);
 
-  // The node's view: matches among the shards it owns, ascending by id.
-  const std::vector<std::string> full = rig.store->search_any(rig.query);
-
-  net::NetClient client;
-  client.connect("127.0.0.1", c.nodes[1]->port(), 10000);
-  const net::HelloAckMsg hello = client.hello(rig.backend->kind(), 1);
+  // A v1 client: hello negotiates down, the session authorizes, but the
+  // node holds only its shards, so the search is a typed refusal — never
+  // the node's subset with kOk.
+  net::NetClient v1;
+  v1.connect("127.0.0.1", c.nodes[1]->port(), 10000);
+  const net::HelloAckMsg hello = v1.hello(rig.backend->kind(), 1);
   ASSERT_EQ(hello.status, WireStatus::kOk) << hello.message;
   EXPECT_EQ(hello.version, 1);  // the server negotiated down
   EXPECT_EQ(hello.records, c.nodes[1]->record_count());
-
-  const std::vector<std::uint8_t> qbytes =
-      rig.backend->encode_query(rig.query);
-  ASSERT_EQ(client.auth_unchecked(qbytes).status, WireStatus::kOk);
-  const net::RemoteResult remote = client.search();
-  ASSERT_EQ(remote.status, WireStatus::kOk) << remote.message;
-
-  // Every ref the node returns is a full-scan match, in full-scan order
-  // (the node's subset preserves ascending-id order).
-  std::size_t cursor = 0;
-  for (const std::string& ref : remote.refs) {
-    while (cursor < full.size() && full[cursor] != ref) ++cursor;
-    ASSERT_LT(cursor, full.size())
-        << "ref '" << ref << "' not a full-scan match (or out of order)";
-    ++cursor;
-  }
-  EXPECT_EQ(remote.scanned, c.nodes[1]->record_count());
+  ASSERT_EQ(v1.auth_unchecked(qbytes).status, WireStatus::kOk);
+  const net::RemoteResult refused = v1.search();
+  EXPECT_EQ(refused.status, WireStatus::kBadRequest);
+  EXPECT_TRUE(refused.refs.empty());
+  EXPECT_NE(refused.message.find("coordinator"), std::string::npos)
+      << refused.message;
 
   // v2-only messages on a v1 session are a protocol error.
   EXPECT_THROW(
-      (void)client.shard_search(c.nodes[1]->owned_shards(), c.map.version(),
-                                c.map.total_shards()),
+      (void)v1.shard_search(c.nodes[1]->owned_shards(), c.map.version(),
+                            c.map.total_shards()),
       ServingError);
+
+  // A current-version session is refused the same way.
+  net::NetClient v2;
+  v2.connect("127.0.0.1", c.nodes[0]->port(), 10000);
+  ASSERT_EQ(v2.hello(rig.backend->kind()).status, WireStatus::kOk);
+  ASSERT_EQ(v2.auth_unchecked(qbytes).status, WireStatus::kOk);
+  EXPECT_EQ(v2.search().status, WireStatus::kBadRequest);
 
   for (auto& node : c.nodes) node->stop();
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "ec/curve.h"
+#include "math/fp_sqrt_batch.h"
 
 namespace apks {
 namespace {
@@ -139,6 +140,43 @@ TEST_F(CurveTest, SerializeRoundTrip) {
 TEST_F(CurveTest, SerializedSizeMatchesPaper) {
   // The paper's size accounting uses 65-byte compressed group elements.
   EXPECT_EQ(Curve::kCompressedSize, 65u);
+}
+
+// The lane-batched square root against the scalar reference
+// (PrimeField::sqrt), on every engine this machine runs, over squares,
+// non-residues, zero and +-1, at every batch length up to two full blocks
+// plus a partial one.
+TEST_F(CurveTest, SqrtBatchMatchesScalarSqrtOnEveryEngine) {
+  const FpField& fp = curve_.fp();
+  std::vector<Fp> values;
+  for (int i = 0; i < 24; ++i) {
+    const Fp r = fp.random(rng_);
+    values.push_back((i % 3 == 0) ? fp.sqr(r) : r);
+  }
+  values[5] = fp.zero();
+  values[9] = fp.one();
+  values[13] = fp.neg(fp.one());  // -1: a non-residue for p = 3 (mod 4)
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level > simd_level_detected()) continue;
+    const FpSqrtBatch batch(fp, level);
+    for (std::size_t n = 1; n <= values.size(); ++n) {
+      const std::span<const Fp> in(values.data(), n);
+      std::vector<Fp> roots(n);
+      std::vector<std::uint8_t> ok(n, 2);
+      batch.run(in, roots, ok);
+      for (std::size_t i = 0; i < n; ++i) {
+        Fp want;
+        const bool square = fp.sqrt(in[i], want);
+        ASSERT_EQ(ok[i] != 0, square)
+            << batch.engine_name() << " n=" << n << " i=" << i;
+        if (square) {
+          EXPECT_EQ(roots[i], want)
+              << batch.engine_name() << " n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(CurveTest, DeserializeRejectsGarbage) {

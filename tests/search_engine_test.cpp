@@ -3,6 +3,7 @@
 // layers (authorization / preprocessing-cache / scan) each filling only
 // their own fields.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -100,6 +101,46 @@ TEST_F(SearchEngineTest, BatchMatchesIndependentSearches) {
     EXPECT_EQ(metrics.per_query[i].authorized, stats.authorized);
     EXPECT_EQ(metrics.per_query[i].scanned, stats.scanned);
     EXPECT_EQ(metrics.per_query[i].matched, stats.matched);
+  }
+}
+
+// Pairing op counts are per engine: two engines scanning at the same time
+// each report exactly what they report when run alone (the process-wide
+// counters would hand each one the other's work too).
+TEST_F(SearchEngineTest, ConcurrentEnginesCountOnlyTheirOwnPairings) {
+  const std::vector<SignedCapability> caps_a = {
+      issue(q3(QueryTerm::equals("Diabetes")))};
+  const std::vector<SignedCapability> caps_b = {
+      issue(q3(QueryTerm::any(), QueryTerm::equals("Male"))), issue(q3())};
+  const SearchEngine::Options opts{.threads = 2, .block_records = 2};
+  auto run = [&](const std::vector<SignedCapability>& caps) {
+    const SearchEngine engine(*server_, opts);  // fresh: cold caches
+    BatchMetrics m;
+    (void)engine.search_batch(caps, &m);
+    return m.ops;
+  };
+  const PairingOpCounts seq_a = run(caps_a);
+  const PairingOpCounts seq_b = run(caps_b);
+  ASSERT_GT(seq_a.final_exp, 0u);
+  ASSERT_GT(seq_b.final_exp, seq_a.final_exp);
+
+  for (int round = 0; round < 3; ++round) {
+    std::atomic<int> ready{0};
+    PairingOpCounts got_a;
+    PairingOpCounts got_b;
+    auto both_start = [&] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+    };
+    std::thread ta([&] {
+      both_start();
+      got_a = run(caps_a);
+    });
+    both_start();
+    got_b = run(caps_b);
+    ta.join();
+    EXPECT_EQ(got_a, seq_a) << "round " << round;
+    EXPECT_EQ(got_b, seq_b) << "round " << round;
   }
 }
 
@@ -235,8 +276,11 @@ TEST_F(SearchEngineTest, DisabledPreparedCacheCountsMissesWithoutCaching) {
 // pass populates the verdict cache.
 TEST_F(SearchEngineTest, PartialScansNeverPopulateVerdictCache) {
   namespace fs = std::filesystem;
+  // Unique to the process, so concurrent runs of the suite (parallel
+  // ctest, a sanitizer build) never share the store.
   const fs::path dir =
-      fs::temp_directory_path() / "apks-engine-vcache-partial";
+      fs::temp_directory_path() /
+      ("apks-engine-vcache-partial-" + std::to_string(::getpid()));
   fs::remove_all(dir);
   ShardedStoreOptions sopts;
   sopts.shards = 1;

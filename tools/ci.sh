@@ -4,10 +4,11 @@
 # artifact, a ThreadSanitizer build of the cloud/server concurrency tests,
 # a UBSan build of the scheme-backend surface (mrqed, proxy ingest,
 # backend type-erasure), a UBSan pairing stage that runs the
-# multi-pairing/SIMD-kernel tests with the lane engines forced on and off
-# (APKS_FORCE_SCALAR), and a serving stage for the network layer (TSan
-# server+client loopback tests, the ASan hostile-frame sweep, and the
-# serving load-generator smoke artifact). Run from the repository root:
+# multi-pairing/SIMD-kernel and batched point-decoding tests with the lane
+# engines forced on and off (APKS_FORCE_SCALAR), and a serving stage for
+# the network layer (TSan server+client loopback tests, the ASan
+# hostile-frame sweep, and the serving load-generator smoke artifact). Run
+# from the repository root:
 #
 #   tools/ci.sh            # tier-1 + store + TSan + UBSan + pairing + chaos + serving
 #   tools/ci.sh --store    # store stage only (ASan + crash recovery + bench)
@@ -62,6 +63,9 @@ if [[ $STAGE == all ]]; then
   configure build
   cmake --build build -j "$JOBS"
   (cd build && ctest --output-on-failure -j "$JOBS")
+  # Test isolation: every test must pass when its neighbours run at the
+  # same time, not just by luck of the schedule.
+  (cd build && ctest --output-on-failure -j "$JOBS" --repeat until-fail:3)
 
   echo "=== bench smoke: MSM engine comparison + JSON artifact ==="
   ./build/bench/bench_msm --smoke --json=BENCH_msm.json
@@ -119,8 +123,11 @@ if [[ $STAGE == all || $STAGE == pairing ]]; then
   echo "=== pairing: UBSan multi-pairing + SIMD lane engines (forced on/off) ==="
   configure build-ubsan -DAPKS_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ubsan -j "$JOBS" \
-    --target pairing_test multi_pairing_test bench_pairing
-  for t in pairing_test multi_pairing_test; do
+    --target pairing_test multi_pairing_test curve_test serialize_test \
+    bench_pairing
+  # curve_test/serialize_test carry the lane-batched point decompression
+  # and its hostile-encoding differential against the scalar reference.
+  for t in pairing_test multi_pairing_test curve_test serialize_test; do
     echo "--- $t (UBSan, SIMD auto) ---"
     ./build-ubsan/tests/"$t"
     echo "--- $t (UBSan, APKS_FORCE_SCALAR=1) ---"
